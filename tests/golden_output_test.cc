@@ -12,12 +12,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "oo7/generator.h"
+#include "sim/checkpoint.h"
 #include "sim/report.h"
 #include "sim/simulation.h"
 
@@ -114,6 +117,62 @@ TEST(GoldenOutputTest, SagaWithPerCollectionVerifierMatchesPlainRun) {
   verified.verifier_runs = plain.verifier_runs;
   EXPECT_EQ(StripBuildInfo(SimResultToJson(plain)),
             StripBuildInfo(SimResultToJson(verified)));
+}
+
+// 64-bit FNV-1a. The checkpoint fingerprint deliberately does not use
+// the checkpoint format's own Crc32, so a change to that CRC cannot mask
+// a change to the bytes it covers.
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The chaos oracle: the same SAGA run with silent bit flips, the
+// background scrubber, auto-repair of quarantined partitions, and the
+// pressure governor under a capacity ceiling, plus a checkpoint written
+// mid-run. Pins the repair path (quarantine, page rewrites, reverse-index
+// healing) and the checkpoint encoder byte for byte.
+TEST(GoldenOutputTest, SagaChaosRunWithRepairAndCheckpointIsByteIdentical) {
+  SimConfig cfg;
+  cfg.policy = PolicyKind::kSaga;
+  cfg.estimator = EstimatorKind::kFgsHb;
+  cfg.saga.garbage_frac = 0.10;
+  cfg.store.fault.bitflip_prob = 0.0005;
+  cfg.scrub_interval_events = 2000;
+  cfg.auto_repair = true;
+  // Ceiling just above the ~4 MB footprint: the governor's yellow band
+  // engages (rate boosts) without exhausting the space.
+  cfg.store.max_db_bytes = 5ull << 20;
+  cfg.governor.enabled = true;
+  const Trace trace = SmallPrimeTrace();
+  const std::vector<TraceEvent>& events = trace.events();
+  const std::string ckpt = ::testing::TempDir() + "golden_chaos.ckpt";
+  Simulation sim(cfg);
+  for (size_t i = 0; i < events.size(); ++i) {
+    sim.Apply(events[i]);
+    if (i + 1 == events.size() / 2) {
+      ASSERT_EQ(WriteCheckpoint(sim, ckpt), CheckpointError::kNone);
+    }
+  }
+  const SimResult result = sim.Finish();
+  EXPECT_GT(result.collections, 10u);
+  EXPECT_GT(result.partitions_repaired, 0u);
+  EXPECT_GT(result.governor_boost_collections, 0u);
+  CheckAgainstGolden("saga_chaos_small_prime_oo7.json",
+                     StripBuildInfo(SimResultToJson(result)));
+
+  std::string bytes;
+  ASSERT_TRUE(ReadFile(ckpt, &bytes));
+  char fnv[32];
+  std::snprintf(fnv, sizeof(fnv), "%016" PRIx64, Fnv1a64(bytes));
+  CheckAgainstGolden("saga_chaos_small_prime_oo7.ckpt.fnv1a",
+                     std::to_string(bytes.size()) + " " + fnv);
+  std::remove(ckpt.c_str());
+  std::remove((ckpt + ".prev").c_str());
 }
 
 }  // namespace

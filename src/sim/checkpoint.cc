@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
+#include <string_view>
 
 #include "core/fixed_rate.h"
 #include "obs/telemetry.h"
@@ -308,13 +310,18 @@ bool ReadWholeFile(const std::string& path, std::string* out) {
   return ok;
 }
 
-CheckpointError WriteFileAtomic(const std::string& path,
-                                const std::string& bytes) {
+// Writes the concatenation of `pieces` to `path` via tmp + rename, so
+// callers never join a large image into one more buffer first.
+CheckpointError WriteFileAtomic(
+    const std::string& path, std::initializer_list<std::string_view> pieces) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return CheckpointError::kOpenFailed;
-  bool ok = bytes.empty() ||
-            std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  bool ok = true;
+  for (const std::string_view piece : pieces) {
+    if (!ok || piece.empty()) continue;
+    ok = std::fwrite(piece.data(), 1, piece.size(), f) == piece.size();
+  }
   if (std::fflush(f) != 0) ok = false;
   if (std::fclose(f) != 0) ok = false;
   if (!ok) {
@@ -613,10 +620,7 @@ CheckpointError WriteCheckpoint(const Simulation& sim,
   fw.U32(kCheckpointFooterMagic);
   fw.U32(payload_crc);
 
-  std::string file = hw.Take();
-  file += payload;
-  file += fw.data();
-  return WriteFileAtomic(path, file);
+  return WriteFileAtomic(path, {hw.data(), payload, fw.data()});
 }
 
 ResumeResult ResumeFromCheckpoint(const SimConfig& config,

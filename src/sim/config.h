@@ -96,11 +96,13 @@ struct SimConfig {
   // detected before a demand read consumes it. Detections quarantine the
   // damaged partition; with `auto_repair` the simulation heals the
   // media, rewrites the partition's pages from the authoritative object
-  // state, rebuilds all derived state, and releases the quarantine (at
-  // scrub ticks when the scrubber is on — so the quarantine window is
-  // observable — or immediately otherwise). `verify_after_repair` runs
-  // the partition verifier on each repaired partition; a violation
-  // aborts the run. Zero-fault runs never enter any of these paths.
+  // state, restores the reverse index's canonical order, and releases
+  // the quarantine (at scrub ticks when the scrubber is on — so the
+  // quarantine window is observable — or immediately otherwise). Each
+  // repaired partition is then verified, falling back to a full
+  // derived-state rebuild if it fails; `verify_after_repair` counts that
+  // check in `verifier_runs` and aborts the run if even the rebuilt state
+  // fails it. Zero-fault runs never enter any of these paths.
   uint32_t scrub_interval_events = 0;
   uint32_t scrub_pages_per_quantum = 8;
   bool auto_repair = true;

@@ -207,11 +207,14 @@ void Simulation::RepairQuarantined() {
       tel_stall_repair_->Record(used_pages);
     }
   }
-  // One pass rebuilds every partition's derived state (reverse index,
-  // backrefs, cross-partition counters, free-space index) from the
-  // primary slot arena; batching it across this tick's repairs keeps
-  // the pass O(heap) regardless of how many partitions were damaged.
-  store_->RebuildDerivedState();
+  // Page damage never touches the derived state (reverse index, slot
+  // back-references, cross-partition counters, free-space index): it is
+  // kept in memory beside the authoritative slot arena. Repair only
+  // restores the canonical order of the in-ref lists, which the
+  // collector's remembered-set walk follows — one pass over the lists,
+  // sorting just the out-of-order ones.
+  store_->CanonicalizeInRefs();
+  bool rebuilt = false;
   for (PartitionId pid : damaged) {
     store_->ReleasePartition(pid);
     ++result_.partitions_repaired;
@@ -223,8 +226,18 @@ void Simulation::RepairQuarantined() {
       }
     }
     ODBGC_IF_TEL(tel_.get()) { tel_repaired_->Increment(); }
+    // Safety net, run whatever verify_after_repair says: a repaired
+    // partition whose derived state does not verify gets the full
+    // rebuild from the slot arena (once per tick; it covers every
+    // partition), so a damaged reverse index is healed, not just
+    // reported.
+    VerifierReport vr = VerifyPartition(*store_, pid);
+    if (!vr.ok() && !rebuilt) {
+      store_->RebuildDerivedState();
+      rebuilt = true;
+      vr = VerifyPartition(*store_, pid);
+    }
     if (config_.verify_after_repair) {
-      VerifierReport vr = VerifyPartition(*store_, pid);
       ++result_.verifier_runs;
       ODBGC_CHECK_FMT(vr.ok(), "partition verifier after repair of %u: %s",
                       pid, vr.Summary().c_str());

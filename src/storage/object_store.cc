@@ -145,6 +145,21 @@ void ObjectStore::RebuildDerivedState() {
   for (uint64_t& epoch : plan_epochs_) ++epoch;
 }
 
+void ObjectStore::CanonicalizeInRefs() {
+  const auto canonical = [](const InRef& a, const InRef& b) {
+    return a.src != b.src ? a.src < b.src : a.backref_pos < b.backref_pos;
+  };
+  for (std::vector<InRef>& tin : in_refs_) {
+    if (tin.size() < 2 || std::is_sorted(tin.begin(), tin.end(), canonical)) {
+      continue;
+    }
+    std::sort(tin.begin(), tin.end(), canonical);
+    for (uint32_t i = 0; i < tin.size(); ++i) {
+      slot_arena_[tin[i].backref_pos].backref = i;
+    }
+  }
+}
+
 void ObjectStore::CreateObject(ObjectId id, uint32_t size,
                                uint32_t num_slots, ObjectId near_hint) {
   ODBGC_CHECK(id != kNullObject);

@@ -420,8 +420,19 @@ class ObjectStore {
   // cross-partition in-ref counters, and the free-space index. In-ref
   // lists come out in canonical (source id, slot) order — equivalent
   // under the verifier's multiset semantics, deterministic at any thread
-  // count. All plan epochs are bumped. Used by RepairHeap.
+  // count. All plan epochs are bumped. Used by RepairHeap and as the
+  // repair path's fallback.
   void RebuildDerivedState();
+
+  // Puts every in-ref list in the canonical (source id, slot) order that
+  // RebuildDerivedState produces, patching the moved entries' slot
+  // back-references. On a consistent store the result equals a rebuild:
+  // the entries, counters and free-space index are already right, and
+  // swap-erase history only permutes the lists (an order the collector's
+  // remembered-set walk follows). Only out-of-order lists are sorted, in
+  // place; nothing is allocated and no plan epoch moves (planning reads
+  // slots and counters, never list order).
+  void CanonicalizeInRefs();
 
   // --- Collector support ---
 

@@ -39,6 +39,11 @@ class SnapshotWriter {
   std::string Take() { return std::move(out_); }
 
  private:
+  template <typename T>
+  void Fixed(T v);
+  template <typename T>
+  void Vec(const std::vector<T>& v);
+
   std::string out_;
 };
 
@@ -73,6 +78,10 @@ class SnapshotReader {
  private:
   void Fail(const std::string& why);
   bool Need(size_t n);
+  template <typename T>
+  T Fixed();
+  template <typename T>
+  std::vector<T> Vec();
 
   const uint8_t* data_;
   size_t size_;

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -140,6 +141,119 @@ TEST(SnapshotTest, Crc32MatchesKnownVector) {
   // The classic IEEE CRC-32 check value.
   const char* s = "123456789";
   EXPECT_EQ(Crc32(s, 9), 0xCBF43926u);
+}
+
+// Bit-at-a-time reference CRC, straight from the polynomial: the
+// definition the slicing-by-8 Crc32 must reproduce.
+uint32_t ReferenceCrc32(const uint8_t* p, size_t size, uint32_t seed) {
+  uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(SnapshotTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  std::vector<uint8_t> buf(1024 + 8);
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (uint8_t& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<uint8_t>(x);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const uint8_t* p = buf.data() + offset;
+    for (size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(Crc32(p, len), ReferenceCrc32(p, len, 0))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  // Chaining: the CRC of a split buffer, seeded with the first part's
+  // CRC, equals the CRC of the whole, at every split point.
+  const uint32_t whole = Crc32(buf.data(), 1024);
+  for (size_t split = 0; split <= 1024; ++split) {
+    const uint32_t head = Crc32(buf.data(), split);
+    ASSERT_EQ(Crc32(buf.data() + split, 1024 - split, head), whole)
+        << "split " << split;
+    ASSERT_EQ(Crc32(buf.data() + split, 1024 - split, head),
+              ReferenceCrc32(buf.data() + split, 1024 - split, head));
+  }
+}
+
+// The historical byte-at-a-time encoding of a count-prefixed vector.
+template <typename T>
+std::string HistoricalVecBytes(const std::vector<T>& v) {
+  std::string out;
+  const auto put = [&out](uint64_t x, size_t width) {
+    for (size_t i = 0; i < width; ++i) {
+      out.push_back(static_cast<char>(x >> (8 * i)));
+    }
+  };
+  put(v.size(), 8);
+  for (const T x : v) put(x, sizeof(T));
+  return out;
+}
+
+TEST(SnapshotTest, BulkVectorEncodingKeepsTheHistoricalBytes) {
+  std::vector<uint32_t> v32(100000);
+  std::vector<uint64_t> v64(50000);
+  for (size_t i = 0; i < v32.size(); ++i) {
+    v32[i] = static_cast<uint32_t>(i * 2654435761u);
+  }
+  for (size_t i = 0; i < v64.size(); ++i) {
+    v64[i] = i * 0x9E3779B97F4A7C15ull;
+  }
+  for (const std::vector<uint32_t>& v :
+       {std::vector<uint32_t>{}, std::vector<uint32_t>{0x01020304u}, v32}) {
+    SnapshotWriter w;
+    w.VecU32(v);
+    EXPECT_EQ(w.data(), HistoricalVecBytes(v)) << v.size();
+    SnapshotReader r(w.data());
+    EXPECT_EQ(r.VecU32(), v);
+    EXPECT_TRUE(r.AtEnd());
+  }
+  for (const std::vector<uint64_t>& v :
+       {std::vector<uint64_t>{}, std::vector<uint64_t>{0x0102030405060708ull},
+        v64}) {
+    SnapshotWriter w;
+    w.VecU64(v);
+    EXPECT_EQ(w.data(), HistoricalVecBytes(v)) << v.size();
+    SnapshotReader r(w.data());
+    EXPECT_EQ(r.VecU64(), v);
+    EXPECT_TRUE(r.AtEnd());
+  }
+  // Scalars are little-endian regardless of the host.
+  SnapshotWriter w;
+  w.U32(0x01020304u);
+  w.U64(0x05060708090A0B0Cull);
+  EXPECT_EQ(w.data(), std::string("\x04\x03\x02\x01\x0C\x0B\x0A\x09"
+                                  "\x08\x07\x06\x05",
+                                  12));
+}
+
+TEST(SnapshotTest, ReaderRejectsCorruptVectorCountsWithoutAllocating) {
+  // A count that claims more elements than bytes remain latches the
+  // error before anything is allocated, and later reads return zeros.
+  SnapshotWriter w;
+  w.U64(~0ull / 8);
+  w.U32(7);
+  SnapshotReader r(w.data());
+  EXPECT_TRUE(r.VecU64().empty());
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.U32(), 0u);
+
+  // One element short of the count.
+  SnapshotWriter w2;
+  w2.VecU32({1, 2, 3});
+  std::string bytes = w2.data();
+  bytes.pop_back();
+  SnapshotReader r2(bytes);
+  EXPECT_TRUE(r2.VecU32().empty());
+  EXPECT_FALSE(r2.ok());
 }
 
 // --- config fingerprint --------------------------------------------------

@@ -3,8 +3,11 @@
 // slot back-pointers, the cross-partition in-ref counters, and the
 // allocation free-space index with the heap verifier at every
 // collection. A desynced index must also die loudly on the hot path,
-// which the death tests pin down.
+// which the death tests pin down. The repair path's in-place list sort
+// (CanonicalizeInRefs) must leave exactly the state a full rebuild does.
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -12,6 +15,7 @@
 #include "storage/object_store.h"
 #include "storage/verifier.h"
 #include "util/random.h"
+#include "util/snapshot.h"
 
 namespace odbgc {
 namespace {
@@ -162,6 +166,134 @@ TEST(ReverseIndexChurnTest, VerifierFlagsDesyncedIndices) {
   }
   --store.mutable_object(2).xpart_in_refs;
   ASSERT_TRUE(VerifyHeap(store, BareOptions()).ok());
+}
+
+// Seeded create / rewrite / unlink churn with a collection every 200
+// operations: leaves the in-ref lists in swap-erase (non-canonical)
+// order. Equal seeds build identical stores.
+void ChurnStore(ObjectStore& store, uint64_t seed) {
+  Collector collector;
+  Rng rng(seed);
+  std::vector<ObjectId> live;
+  ObjectId next_id = 1;
+  for (int i = 0; i < 8; ++i) {
+    store.CreateObject(next_id, 96, 4);
+    store.AddRoot(next_id);
+    live.push_back(next_id++);
+  }
+  for (uint64_t op = 0; op < 4000; ++op) {
+    if (rng.NextBool(0.3)) {
+      const ObjectId hint = live[rng.NextBelow(live.size())];
+      const uint32_t size = 32 + static_cast<uint32_t>(rng.NextBelow(200));
+      store.CreateObject(next_id, size, static_cast<uint32_t>(rng.NextBelow(5)),
+                         rng.NextBool(0.5) ? hint : kNullObject);
+      live.push_back(next_id++);
+    }
+    const ObjectId src = live[rng.NextBelow(live.size())];
+    const uint32_t nslots = store.object(src).slot_count;
+    if (nslots > 0) {
+      const ObjectId target =
+          rng.NextBool(0.15) ? kNullObject : live[rng.NextBelow(live.size())];
+      store.WriteRef(src, static_cast<uint32_t>(rng.NextBelow(nslots)),
+                     target);
+    }
+    if ((op + 1) % 200 == 0) {
+      collector.Collect(store, static_cast<PartitionId>(
+                                   rng.NextBelow(store.partition_count())));
+      std::erase_if(live, [&](ObjectId id) { return !store.Exists(id); });
+    }
+  }
+}
+
+bool InCanonicalOrder(const std::vector<InRef>& refs) {
+  return std::is_sorted(refs.begin(), refs.end(),
+                        [](const InRef& a, const InRef& b) {
+                          return a.src != b.src ? a.src < b.src
+                                                : a.backref_pos < b.backref_pos;
+                        });
+}
+
+// Every piece of derived state: in-ref lists (entry for entry, in
+// order), live slot back-references, cross-partition counters, and the
+// free-space index.
+void ExpectSameDerivedState(const ObjectStore& a, const ObjectStore& b) {
+  ASSERT_EQ(a.max_object_id(), b.max_object_id());
+  for (ObjectId id = 1; id <= a.max_object_id(); ++id) {
+    ASSERT_EQ(a.Exists(id), b.Exists(id)) << id;
+    if (!a.Exists(id)) continue;
+    EXPECT_EQ(a.in_refs(id), b.in_refs(id)) << "object " << id;
+    EXPECT_EQ(a.object(id).xpart_in_refs, b.object(id).xpart_in_refs) << id;
+    const std::span<const Slot> sa = a.slots(id);
+    const std::span<const Slot> sb = b.slots(id);
+    ASSERT_EQ(sa.size(), sb.size()) << id;
+    for (size_t j = 0; j < sa.size(); ++j) {
+      EXPECT_EQ(sa[j].target, sb[j].target) << id << "/" << j;
+      if (sa[j].target != kNullObject) {
+        EXPECT_EQ(sa[j].backref, sb[j].backref) << id << "/" << j;
+      }
+    }
+  }
+  ASSERT_EQ(a.partition_count(), b.partition_count());
+  for (PartitionId p = 0; p < a.partition_count(); ++p) {
+    EXPECT_EQ(a.indexed_free_bytes(p), b.indexed_free_bytes(p)) << p;
+  }
+}
+
+TEST(CanonicalizeInRefsTest, MatchesAFullRebuildOnChurnedStores) {
+  for (const uint64_t seed : {1u, 2u, 0xc0ffeeu}) {
+    SCOPED_TRACE(seed);
+    ObjectStore sorted(SmallConfig());
+    ObjectStore rebuilt(SmallConfig());
+    ChurnStore(sorted, seed);
+    ChurnStore(rebuilt, seed);
+    // Churn really left lists out of canonical order (the test would be
+    // vacuous otherwise).
+    size_t unsorted = 0;
+    for (ObjectId id = 1; id <= sorted.max_object_id(); ++id) {
+      if (sorted.Exists(id) && !InCanonicalOrder(sorted.in_refs(id))) {
+        ++unsorted;
+      }
+    }
+    EXPECT_GT(unsorted, 0u);
+
+    std::vector<uint64_t> epochs;
+    for (PartitionId p = 0; p < sorted.partition_count(); ++p) {
+      epochs.push_back(sorted.plan_epoch(p));
+    }
+    sorted.CanonicalizeInRefs();
+    rebuilt.RebuildDerivedState();
+    ExpectSameDerivedState(sorted, rebuilt);
+    // Sorting changes no plan input.
+    for (PartitionId p = 0; p < sorted.partition_count(); ++p) {
+      EXPECT_EQ(sorted.plan_epoch(p), epochs[p]) << p;
+    }
+    VerifierReport vr = VerifyHeap(sorted, BareOptions());
+    EXPECT_TRUE(vr.ok()) << vr.Summary();
+    // Idempotent.
+    sorted.CanonicalizeInRefs();
+    ExpectSameDerivedState(sorted, rebuilt);
+  }
+}
+
+TEST(CanonicalizeInRefsTest, MatchesAFullRebuildAfterASnapshotRoundTrip) {
+  for (const uint64_t seed : {3u, 4u}) {
+    SCOPED_TRACE(seed);
+    ObjectStore churned(SmallConfig());
+    ChurnStore(churned, seed);
+    SnapshotWriter w;
+    churned.SaveState(w);
+    ObjectStore sorted(SmallConfig());
+    ObjectStore rebuilt(SmallConfig());
+    SnapshotReader r1(w.data());
+    sorted.RestoreState(r1);
+    ASSERT_TRUE(r1.AtEnd()) << r1.error();
+    SnapshotReader r2(w.data());
+    rebuilt.RestoreState(r2);
+    ASSERT_TRUE(r2.AtEnd()) << r2.error();
+    sorted.CanonicalizeInRefs();
+    rebuilt.RebuildDerivedState();
+    ExpectSameDerivedState(sorted, rebuilt);
+  }
 }
 
 TEST(ReverseIndexDeathTest, DesyncedBackrefDiesOnOverwrite) {

@@ -3,14 +3,19 @@
 // detection through the buffer pool's corruption-event queue, the
 // background scrubber, partition quarantine, and the end-to-end
 // detect -> quarantine -> repair pipeline inside a simulation run
-// (deterministic at any thread count, clean runs untouched).
+// (deterministic at any thread count, clean runs untouched), including
+// repair's fallback to a full derived-state rebuild when a repaired
+// partition does not verify.
 
+#include <memory>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/parallel.h"
 #include "sim/runner.h"
+#include "sim/simulation.h"
 #include "storage/buffer_pool.h"
 #include "storage/fault_injector.h"
 #include "storage/object_store.h"
@@ -384,6 +389,84 @@ TEST(SelfHealingEndToEndTest, ScrubbingHealthyMediaDetectsNothing) {
   EXPECT_EQ(r.partitions_quarantined, 0u);
   EXPECT_EQ(r.collections_aborted_corrupt, 0u);
   EXPECT_TRUE(r.quarantine_log.empty());
+}
+
+// A Tiny OO7 run stopped halfway, healthy media, repair on every tick
+// (no scrubber), with one partition about to be quarantined: `victim`
+// holds a resident object with a non-null pointer slot, `bystander` is
+// any other partition.
+struct RepairFixture {
+  std::unique_ptr<Simulation> sim;
+  PartitionId victim = kInvalidPartition;
+  PartitionId bystander = kInvalidPartition;
+  ObjectId src = kNullObject;
+  uint32_t slot = 0;
+
+  explicit RepairFixture(bool verify_after_repair) {
+    SimConfig cfg = ChaosConfig();
+    cfg.store.fault = FaultPlan{};
+    cfg.scrub_interval_events = 0;
+    cfg.verify_after_repair = verify_after_repair;
+    const std::shared_ptr<const Trace> trace =
+        GenerateOo7Trace(Oo7Params::Tiny(), 3);
+    sim = std::make_unique<Simulation>(cfg);
+    for (size_t i = 0; i < trace->size() / 2; ++i) sim->Apply((*trace)[i]);
+    const ObjectStore& store = sim->store();
+    for (ObjectId id = 1; id <= store.max_object_id() && src == 0; ++id) {
+      if (!store.Exists(id)) continue;
+      const std::span<const Slot> slots = store.slots(id);
+      for (uint32_t j = 0; j < slots.size(); ++j) {
+        if (slots[j].target != kNullObject) {
+          src = id;
+          slot = j;
+          break;
+        }
+      }
+    }
+    EXPECT_NE(src, kNullObject);
+    victim = store.object(src).partition;
+    bystander = victim == 0 ? 1 : 0;
+    EXPECT_LT(bystander, store.partition_count());
+  }
+};
+
+TEST(RepairTest, SortsReverseListsWithoutAFullRebuild) {
+  RepairFixture f(/*verify_after_repair=*/true);
+  ObjectStore& store = f.sim->store();
+  ASSERT_TRUE(store.QuarantinePartition(f.victim));
+  const uint64_t bystander_epoch = store.plan_epoch(f.bystander);
+  const SimResult r = f.sim->Finish();
+  EXPECT_EQ(r.partitions_repaired, 1u);
+  EXPECT_EQ(r.verifier_runs, 1u);
+  // Only the full rebuild bumps every partition's plan epoch.
+  EXPECT_EQ(store.plan_epoch(f.bystander), bystander_epoch);
+  VerifierReport vr = VerifyHeap(store);
+  EXPECT_TRUE(vr.ok()) << vr.Summary();
+}
+
+TEST(RepairTest, DamagedBackrefFallsBackToTheFullRebuild) {
+  for (const bool verify_after_repair : {true, false}) {
+    SCOPED_TRACE(verify_after_repair);
+    RepairFixture f(verify_after_repair);
+    ObjectStore& store = f.sim->store();
+    // Sort first, so the repair's own sort leaves every list (and so the
+    // damaged back-reference) untouched and only the verifier can catch
+    // it.
+    store.CanonicalizeInRefs();
+    Slot& slot = store.mutable_slots(f.src)[f.slot];
+    slot.backref = static_cast<uint32_t>(store.in_refs(slot.target).size());
+    ASSERT_FALSE(VerifyPartition(store, f.victim).ok());
+    ASSERT_TRUE(store.QuarantinePartition(f.victim));
+    const uint64_t bystander_epoch = store.plan_epoch(f.bystander);
+    const SimResult r = f.sim->Finish();
+    EXPECT_EQ(r.partitions_repaired, 1u);
+    // The safety net runs regardless of verify_after_repair, which only
+    // decides whether the run counts (and enforces) the check.
+    EXPECT_EQ(r.verifier_runs, verify_after_repair ? 1u : 0u);
+    EXPECT_GT(store.plan_epoch(f.bystander), bystander_epoch);
+    VerifierReport vr = VerifyHeap(store);
+    EXPECT_TRUE(vr.ok()) << vr.Summary();
+  }
 }
 
 }  // namespace

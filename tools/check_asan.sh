@@ -2,7 +2,8 @@
 # Builds the storage / collector stack under AddressSanitizer and runs
 # the tests that exercise the fault injector, crash recovery, and the
 # heap verifier (plus the corrupt-trace loader corpora, which is where a
-# reader bug would touch memory it should not).
+# reader bug would touch memory it should not), the checkpoint format's
+# bulk snapshot encode/decode, and the in-place reverse-list sort.
 # Usage: tools/check_asan.sh [build-dir]
 set -euo pipefail
 
@@ -14,10 +15,12 @@ cmake -B "$BUILD_DIR" -S . \
   -DODBGC_SANITIZE=address
 cmake --build "$BUILD_DIR" --target \
   fault_injection_test self_healing_test recovery_test buffer_pool_test \
-  fuzz_test storage_test collector_test -j "$(nproc)"
+  fuzz_test storage_test collector_test checkpoint_test reverse_index_test \
+  -j "$(nproc)"
 
 for t in fault_injection_test self_healing_test recovery_test \
-         buffer_pool_test fuzz_test storage_test collector_test; do
+         buffer_pool_test fuzz_test storage_test collector_test \
+         checkpoint_test reverse_index_test; do
   echo "== ${t} under address sanitizer =="
   "$BUILD_DIR/tests/$t"
 done

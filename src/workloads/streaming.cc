@@ -17,21 +17,22 @@ StreamingChurnSource::StreamingChurnSource(
 }
 
 bool StreamingChurnSource::Next(TraceEvent* out) {
-  while (pending_.empty()) {
+  while (pending_head_ == pending_.size()) {
     if (cycle_ >= options_.cycles) return false;
+    pending_.clear();
+    pending_head_ = 0;
     GenerateCycle();
   }
-  *out = pending_.front();
-  pending_.pop_front();
+  *out = pending_[pending_head_++];
   return true;
 }
 
 size_t StreamingChurnSource::ApproxMemoryBytes() const {
   size_t bytes = sizeof(*this);
-  for (const std::deque<uint32_t>& l : lists_) {
+  for (const std::vector<uint32_t>& l : lists_) {
     bytes += l.size() * sizeof(uint32_t);
   }
-  bytes += pending_.size() * sizeof(TraceEvent);
+  bytes += (pending_.size() - pending_head_) * sizeof(TraceEvent);
   return bytes;
 }
 
@@ -55,29 +56,34 @@ void StreamingChurnSource::GenerateCycle() {
 void StreamingChurnSource::Append(uint32_t li) {
   uint32_t node = next_id_++;
   pending_.push_back(CreateEvent(node, options_.node_bytes, 1));
-  uint32_t old_head = lists_[li].empty() ? 0u : lists_[li].front();
+  uint32_t old_head = lists_[li].empty() ? 0u : lists_[li].back();
   pending_.push_back(WriteRefEvent(node, 0, old_head));
   pending_.push_back(WriteRefEvent(root_, li, node));
-  lists_[li].push_front(node);
+  lists_[li].push_back(node);
 }
 
 void StreamingChurnSource::TrimTail(uint32_t li) {
-  std::deque<uint32_t>& list = lists_[li];
+  std::vector<uint32_t>& list = lists_[li];
   ODBGC_CHECK(!list.empty());
-  for (uint32_t node : list) pending_.push_back(ReadEvent(node));
+  // Head to tail, as the list is linked.
+  for (auto it = list.rbegin(); it != list.rend(); ++it) {
+    pending_.push_back(ReadEvent(*it));
+  }
   if (list.size() == 1) {
     pending_.push_back(WriteRefEvent(root_, li, 0));
   } else {
-    pending_.push_back(WriteRefEvent(list[list.size() - 2], 0, 0));
+    pending_.push_back(WriteRefEvent(list[1], 0, 0));  // the new tail
   }
   pending_.push_back(GarbageMarkEvent(options_.node_bytes, 1));
-  list.pop_back();
+  list.erase(list.begin());
 }
 
 void StreamingChurnSource::WalkPrefix(uint32_t li, size_t depth) {
-  const std::deque<uint32_t>& list = lists_[li];
+  const std::vector<uint32_t>& list = lists_[li];
   size_t n = std::min(depth, list.size());
-  for (size_t i = 0; i < n; ++i) pending_.push_back(ReadEvent(list[i]));
+  for (size_t i = 0; i < n; ++i) {
+    pending_.push_back(ReadEvent(list[list.size() - 1 - i]));
+  }
 }
 
 }  // namespace odbgc

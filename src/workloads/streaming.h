@@ -1,8 +1,8 @@
 #ifndef ODBGC_WORKLOADS_STREAMING_H_
 #define ODBGC_WORKLOADS_STREAMING_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "trace/event_source.h"
@@ -62,8 +62,13 @@ class StreamingChurnSource : public EventSource {
   uint64_t cycle_ = 0;
   uint32_t next_id_ = 1;
   uint32_t root_ = 0;
-  std::vector<std::deque<uint32_t>> lists_;
-  std::deque<TraceEvent> pending_;
+  // Each list oldest node first, head last. Vectors rather than deques:
+  // after warm-up the source allocates nothing, whichever thread drains
+  // it.
+  std::vector<std::vector<uint32_t>> lists_;
+  // The current cycle's events; pending_[pending_head_] is next.
+  std::vector<TraceEvent> pending_;
+  size_t pending_head_ = 0;
 };
 
 }  // namespace odbgc

@@ -11,10 +11,12 @@ namespace odbgc {
 
 // A pull-based stream of trace events — the streaming counterpart of a
 // materialized Trace. The multi-tenant client mux (sim/client_mux.h)
-// draws one event at a time from thousands of these, so an
-// implementation must hold O(its own live set) state, never O(events it
-// will ever emit). Implementations are single-consumer and need not be
-// thread-safe; the mux drains them serially.
+// draws from thousands of these, so an implementation must hold O(its
+// own live set) state, never O(events it will ever emit).
+// Implementations are single-consumer and need not be thread-safe, but
+// distinct sources must not share mutable state: the sharded engine
+// drains each client's source on whichever worker thread applies the
+// owning shard (immutable shared data, like a cached trace, is fine).
 class EventSource {
  public:
   virtual ~EventSource() = default;

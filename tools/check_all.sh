@@ -122,28 +122,32 @@ print("bench smoke: %d section checksums identical at gc-threads 1 and 4"
       % len(c1))
 EOF
 
-# Multi-tenant smoke: the sharded engine's 100-client cell must produce
-# byte-identical fleet checksums at two apply-lane counts run in
+# Multi-tenant smoke: every cell of the sharded engine's sweep must
+# produce byte-identical fleet checksums at two apply-lane counts run in
 # separate processes (the in-binary --check-threads re-run is skipped —
-# this cross-process compare subsumes it).
+# this cross-process compare subsumes it), and each must equal the
+# committed BENCH_multi_tenant.json baseline's checksum_after.
 mt_bench="$PWD/build-check/bench/ext_multi_tenant"
-(cd "$bench_dir" && "$mt_bench" --clients=100 --threads=1 \
+(cd "$bench_dir" && "$mt_bench" --threads=1 \
     --check-threads=0 --trace-cache-mb=1 --json-out=mt1.json > /dev/null)
-(cd "$bench_dir" && "$mt_bench" --clients=100 --threads=3 \
+(cd "$bench_dir" && "$mt_bench" --threads=3 \
     --check-threads=0 --trace-cache-mb=1 --json-out=mt3.json > /dev/null)
-python3 - "$bench_dir" <<'EOF'
+python3 - "$bench_dir" "$PWD/BENCH_multi_tenant.json" <<'EOF'
 import json, sys
 d = sys.argv[1]
 t1 = json.load(open(d + "/mt1.json"))
 t3 = json.load(open(d + "/mt3.json"))
+base = json.load(open(sys.argv[2]))
 c1 = {s["name"]: s["checksum"] for s in t1["sections"]}
 c3 = {s["name"]: s["checksum"] for s in t3["sections"]}
+want = {s["name"]: s["checksum_after"] for s in base["sections"]}
 assert c1 == c3, "fleet checksums diverged across --threads: %r vs %r" % (
     c1, c3)
-s1 = t1["sections"][0]
-assert s1["clients"] == 100 and s1["ops"] > 0, s1
-print("multi-tenant smoke: 100-client fleet checksum identical at "
-      "threads 1 and 3 (%d events)" % s1["ops"])
+assert c1 == want, "fleet checksums differ from BENCH_multi_tenant.json: " \
+    "%r vs %r" % (c1, want)
+events = sum(s["ops"] for s in t1["sections"])
+print("multi-tenant smoke: %d fleet checksums identical at threads 1 and 3 "
+      "and equal to the baseline (%d events)" % (len(c1), events))
 EOF
 
 # Self-healing smoke: one OO7 Small' run under the full silent

@@ -9,6 +9,8 @@
 
 #include <memory>
 #include <span>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -391,16 +393,37 @@ TEST(SelfHealingEndToEndTest, ScrubbingHealthyMediaDetectsNothing) {
   EXPECT_TRUE(r.quarantine_log.empty());
 }
 
+// The first resident of `partition` (any partition when
+// kInvalidPartition) with a non-null pointer slot, as (object, slot);
+// kNullObject when there is none.
+std::pair<ObjectId, uint32_t> FirstPointerSlot(const ObjectStore& store,
+                                               PartitionId partition) {
+  for (ObjectId id = 1; id <= store.max_object_id(); ++id) {
+    if (!store.Exists(id)) continue;
+    if (partition != kInvalidPartition &&
+        store.object(id).partition != partition) {
+      continue;
+    }
+    const std::span<const Slot> slots = store.slots(id);
+    for (uint32_t j = 0; j < slots.size(); ++j) {
+      if (slots[j].target != kNullObject) return {id, j};
+    }
+  }
+  return {kNullObject, 0};
+}
+
 // A Tiny OO7 run stopped halfway, healthy media, repair on every tick
 // (no scrubber), with one partition about to be quarantined: `victim`
-// holds a resident object with a non-null pointer slot, `bystander` is
-// any other partition.
+// holds a resident object (`src`) with a non-null pointer slot, and so
+// does `bystander` (`bystander_src`), any other partition.
 struct RepairFixture {
   std::unique_ptr<Simulation> sim;
   PartitionId victim = kInvalidPartition;
   PartitionId bystander = kInvalidPartition;
   ObjectId src = kNullObject;
   uint32_t slot = 0;
+  ObjectId bystander_src = kNullObject;
+  uint32_t bystander_slot = 0;
 
   explicit RepairFixture(bool verify_after_repair) {
     SimConfig cfg = ChaosConfig();
@@ -412,34 +435,44 @@ struct RepairFixture {
     sim = std::make_unique<Simulation>(cfg);
     for (size_t i = 0; i < trace->size() / 2; ++i) sim->Apply((*trace)[i]);
     const ObjectStore& store = sim->store();
-    for (ObjectId id = 1; id <= store.max_object_id() && src == 0; ++id) {
-      if (!store.Exists(id)) continue;
-      const std::span<const Slot> slots = store.slots(id);
-      for (uint32_t j = 0; j < slots.size(); ++j) {
-        if (slots[j].target != kNullObject) {
-          src = id;
-          slot = j;
-          break;
-        }
-      }
-    }
+    std::tie(src, slot) = FirstPointerSlot(store, kInvalidPartition);
     EXPECT_NE(src, kNullObject);
     victim = store.object(src).partition;
     bystander = victim == 0 ? 1 : 0;
     EXPECT_LT(bystander, store.partition_count());
+    std::tie(bystander_src, bystander_slot) =
+        FirstPointerSlot(store, bystander);
+    EXPECT_NE(bystander_src, kNullObject);
   }
 };
+
+// Points `src`'s slot back-reference one past its target's in-ref list
+// (a derived-state error only the verifier catches); returns the old
+// value.
+uint32_t PlantWrongBackref(ObjectStore& store, ObjectId src, uint32_t slot) {
+  Slot& s = store.mutable_slots(src)[slot];
+  const uint32_t old = s.backref;
+  s.backref = static_cast<uint32_t>(store.in_refs(s.target).size());
+  return old;
+}
 
 TEST(RepairTest, SortsReverseListsWithoutAFullRebuild) {
   RepairFixture f(/*verify_after_repair=*/true);
   ObjectStore& store = f.sim->store();
+  // A wrong back-reference in the bystander, planted after a pre-sort so
+  // the repair's own sort leaves it alone: only a full rebuild of the
+  // derived state would heal it.
+  store.CanonicalizeInRefs();
+  const uint32_t good_backref =
+      PlantWrongBackref(store, f.bystander_src, f.bystander_slot);
+  ASSERT_FALSE(VerifyPartition(store, f.bystander).ok());
   ASSERT_TRUE(store.QuarantinePartition(f.victim));
-  const uint64_t bystander_epoch = store.plan_epoch(f.bystander);
   const SimResult r = f.sim->Finish();
   EXPECT_EQ(r.partitions_repaired, 1u);
   EXPECT_EQ(r.verifier_runs, 1u);
-  // Only the full rebuild bumps every partition's plan epoch.
-  EXPECT_EQ(store.plan_epoch(f.bystander), bystander_epoch);
+  EXPECT_FALSE(VerifyPartition(store, f.bystander).ok());
+  store.mutable_slots(f.bystander_src)[f.bystander_slot].backref =
+      good_backref;
   VerifierReport vr = VerifyHeap(store);
   EXPECT_TRUE(vr.ok()) << vr.Summary();
 }
@@ -453,17 +486,15 @@ TEST(RepairTest, DamagedBackrefFallsBackToTheFullRebuild) {
     // damaged back-reference) untouched and only the verifier can catch
     // it.
     store.CanonicalizeInRefs();
-    Slot& slot = store.mutable_slots(f.src)[f.slot];
-    slot.backref = static_cast<uint32_t>(store.in_refs(slot.target).size());
+    PlantWrongBackref(store, f.src, f.slot);
     ASSERT_FALSE(VerifyPartition(store, f.victim).ok());
     ASSERT_TRUE(store.QuarantinePartition(f.victim));
-    const uint64_t bystander_epoch = store.plan_epoch(f.bystander);
     const SimResult r = f.sim->Finish();
     EXPECT_EQ(r.partitions_repaired, 1u);
     // The safety net runs regardless of verify_after_repair, which only
     // decides whether the run counts (and enforces) the check.
     EXPECT_EQ(r.verifier_runs, verify_after_repair ? 1u : 0u);
-    EXPECT_GT(store.plan_epoch(f.bystander), bystander_epoch);
+    // Clean only if the full rebuild ran.
     VerifierReport vr = VerifyHeap(store);
     EXPECT_TRUE(vr.ok()) << vr.Summary();
   }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: plain build + complete test suite + a telemetry
 # smoke (export a trace, validate it with odbgc_tracecheck), a
-# checkpoint/resume + recovery-fuzz smoke (docs/RECOVERY.md), a
-# parallel-collection bench smoke (checksums must agree across
-# --gc-threads), a self-healing chaos smoke (silent corruption must be
+# checkpoint/resume + recovery-fuzz smoke (docs/RECOVERY.md), a core
+# hot-path bench smoke (checksums must equal BENCH_core.json), a
+# self-healing chaos smoke (silent corruption must be
 # detected, quarantined and repaired — docs/RECOVERY.md), then both
 # sanitizer passes (tools/check_asan.sh, tools/check_tsan.sh). Each
 # flavor builds into its own directory so the gates do not disturb an
@@ -99,27 +99,22 @@ for c, f in zip(clean["runs"], fail["runs"]):
 print("sweep isolation smoke: 1 structured failure, 3 runs unchanged")
 EOF
 
-# Parallel-collection bench smoke: the hot-path micro-bench asserts
-# internally that CollectBatch matches the serial sweep checksum; here we
-# additionally require every section checksum to be identical across
-# --gc-threads values (separate processes, separate pools).
+# Core hot-path bench smoke: every micro_core_hotpath section digests
+# the storage/GC state it drives, so each checksum must equal the
+# committed BENCH_core.json baseline's checksum_after.
 bench_dir="$(mktemp -d /tmp/odbgc_bench.XXXXXX)"
 trap 'rm -f "$trace_tmp"; rm -rf "$ckpt_dir" "$bench_dir"' EXIT
 bench="$PWD/build-check/bench/micro_core_hotpath"
-(cd "$bench_dir" && "$bench" --gc-threads=1 > /dev/null &&
-    mv BENCH_hotpath_run.json t1.json)
-(cd "$bench_dir" && "$bench" --gc-threads=4 > /dev/null &&
-    mv BENCH_hotpath_run.json t4.json)
-python3 - "$bench_dir" <<'EOF'
+(cd "$bench_dir" && "$bench" > /dev/null)
+python3 - "$bench_dir" "$PWD/BENCH_core.json" <<'EOF'
 import json, sys
-d = sys.argv[1]
-t1 = json.load(open(d + "/t1.json"))
-t4 = json.load(open(d + "/t4.json"))
-c1 = {s["name"]: s["checksum"] for s in t1["sections"]}
-c4 = {s["name"]: s["checksum"] for s in t4["sections"]}
-assert c1 == c4, "checksums diverged across --gc-threads: %r vs %r" % (c1, c4)
-print("bench smoke: %d section checksums identical at gc-threads 1 and 4"
-      % len(c1))
+run = json.load(open(sys.argv[1] + "/BENCH_hotpath_run.json"))
+base = json.load(open(sys.argv[2]))
+got = {s["name"]: s["checksum"] for s in run["sections"]}
+want = {s["name"]: s["checksum_after"] for s in base["sections"]}
+assert got == want, "hot-path checksums differ from BENCH_core.json: " \
+    "%r vs %r" % (got, want)
+print("bench smoke: %d section checksums equal to the baseline" % len(got))
 EOF
 
 # Multi-tenant smoke: every cell of the sharded engine's sweep must

@@ -13,7 +13,7 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DODBGC_SANITIZE="$SANITIZER"
 cmake --build "$BUILD_DIR" \
-  --target parallel_test simulation_test parallel_collect_test \
+  --target parallel_test simulation_test \
   self_healing_test client_mux_test multi_tenant_test overload_test \
   -j "$(nproc)"
 
@@ -21,8 +21,6 @@ echo "== parallel_test under ${SANITIZER} sanitizer =="
 "$BUILD_DIR/tests/parallel_test"
 echo "== simulation_test under ${SANITIZER} sanitizer =="
 "$BUILD_DIR/tests/simulation_test"
-echo "== parallel_collect_test (intra-run parallel collector) under ${SANITIZER} sanitizer =="
-"$BUILD_DIR/tests/parallel_collect_test"
 echo "== self_healing_test (chaos sweeps across thread counts) under ${SANITIZER} sanitizer =="
 "$BUILD_DIR/tests/self_healing_test"
 echo "== client_mux_test (streaming merge determinism) under ${SANITIZER} sanitizer =="

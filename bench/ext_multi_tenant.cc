@@ -6,9 +6,6 @@
 // What each cell reports:
 //   * measured events/sec of the whole engine at --threads apply lanes
 //     (wall clock; host-dependent, gated loosely by tools/bench_diff.py)
-//   * the deterministic modeled lane schedule: per-epoch shard costs
-//     LPT-packed onto 1/2/4/8 lanes (EXPERIMENTS.md) — identical at any
-//     --threads, so the scaling story is host-independent
 //   * fleet checksum (FleetChecksum) — must be byte-identical at every
 //     --threads value; the harness re-runs the smallest cell at 1 and
 //     --check-threads lanes and aborts on any divergence
@@ -22,8 +19,8 @@
 // exercised and reported.
 //
 // Emits BENCH_multi_tenant_run.json; the committed BENCH_multi_tenant.json
-// baseline pairs the modeled serial schedule with the modeled 8-lane
-// schedule and carries the measured rate for CI trend-gating.
+// baseline records the measured rate at --threads=1/2/4 and gates CI on
+// the --threads=2 figure.
 
 #include <chrono>
 #include <cstdio>
@@ -239,14 +236,13 @@ int main(int argc, char** argv) {
   }
 
   odbgc::TablePrinter t({"clients", "events", "ms", "events_per_sec",
-                         "speedup_8lane", "xshard", "stall_p99",
-                         "approx_mem_mb", "checksum"});
+                         "xshard", "stall_p99", "approx_mem_mb",
+                         "checksum"});
   for (const CellResult& r : results) {
     t.AddRow({std::to_string(r.cell.clients),
               std::to_string(r.report.events),
               odbgc::TablePrinter::Fmt(r.ms, 1),
               odbgc::TablePrinter::Fmt(r.ops_per_sec(), 0),
-              odbgc::TablePrinter::Fmt(r.report.ModeledSpeedup(3), 2),
               std::to_string(r.report.xshard_writes),
               odbgc::TablePrinter::Fmt(r.report.stall_gc_copy.p99, 1),
               odbgc::TablePrinter::Fmt(
@@ -312,16 +308,6 @@ int main(int argc, char** argv) {
     w.Value(rep.budget_grants);
     w.Key("budget_revokes");
     w.Value(rep.budget_revokes);
-    w.Key("contention_delay_units");
-    w.Value(rep.contention_delay_units);
-    w.Key("modeled_units");
-    w.BeginArray();
-    for (size_t li = 0; li < odbgc::MultiTenantReport::kLaneCounts; ++li) {
-      w.Value(rep.modeled_units[li]);
-    }
-    w.EndArray();
-    w.Key("modeled_speedup_8lane");
-    w.Value(rep.ModeledSpeedup(3));
     w.Key("stall_gc_copy_p99");
     w.Value(rep.stall_gc_copy.p99);
     w.Key("stall_gc_copy_count");

@@ -172,16 +172,6 @@ CollectionReport Collector::Collect(ObjectStore& store,
 CollectionReport Collector::ApplyCollection(ObjectStore& store,
                                             PartitionId partition,
                                             const CollectionPlan& plan) {
-  ODBGC_CHECK_MSG(!journal_.pending,
-                  "Collect while crash recovery is pending");
-  if (store.IsQuarantined(partition)) {
-    // Apply is the only step that mutates the partition, so it re-checks
-    // the quarantine gate itself rather than trusting its caller.
-    CollectionReport skipped;
-    skipped.partition = partition;
-    skipped.skipped_quarantine = true;
-    return skipped;
-  }
   ++attempts_;
   const bool crash_now =
       crash_point_ != CrashPoint::kNone && attempts_ == crash_attempt_;

@@ -193,9 +193,11 @@ class Collector {
                             MarkBitmap& mark, CollectionPlan* plan);
 
   // Steps 2-6 (I/O, flip, remembered sets, bookkeeping, crash handling)
-  // for a partition whose plan is already computed. `plan` is the
-  // collector's scratch; its vectors are copied into the journal on a
-  // crash and into the partition's survivor list on completion.
+  // for a partition whose plan is already computed. Collect, the only
+  // caller, has already run the pending-recovery check and the
+  // quarantine gate. `plan` is the collector's scratch; its vectors are
+  // copied into the journal on a crash and into the partition's
+  // survivor list on completion.
   CollectionReport ApplyCollection(ObjectStore& store, PartitionId partition,
                                    const CollectionPlan& plan);
 

@@ -9,14 +9,6 @@
 
 namespace odbgc {
 
-constexpr uint32_t MultiTenantReport::kLanes[];
-
-double MultiTenantReport::ModeledSpeedup(size_t lane_index) const {
-  ODBGC_CHECK(lane_index < kLaneCounts);
-  if (modeled_units[lane_index] <= 0.0) return 0.0;
-  return modeled_units[0] / modeled_units[lane_index];
-}
-
 uint64_t MultiTenantReport::FleetChecksum() const {
   uint64_t h = 1469598103934665603ull;
   auto mix = [&h](uint64_t v) {
@@ -38,8 +30,6 @@ uint64_t MultiTenantReport::FleetChecksum() const {
   mix(admission_deferrals);
   mix(breaker_opens);
   mix(breaker_closes);
-  mix(contention_events);
-  mix(contention_delay_units);
   for (const SimResult& s : shards) {
     mix(s.clock.app_io);
     mix(s.clock.gc_io);
@@ -73,15 +63,11 @@ MultiTenantEngine::MultiTenantEngine(const MultiTenantOptions& options)
   sharing_ = options_.catalog_per_shard > 0 && options_.share_prob > 0.0;
   lanes_.resize(options_.num_shards);
   exchange_.resize(options_.num_shards);
-  prev_io_.assign(options_.num_shards, 0);
   shard_budget_.assign(options_.num_shards, options_.global_io_frac);
   breaker_open_.assign(options_.num_shards, 0);
   breaker_clean_.assign(options_.num_shards, 0);
   defer_ledger_epoch_.assign(options_.num_shards, 0);
   CreateCatalog();
-  for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    prev_io_[s] = sims_[s]->clock().total_io();
-  }
 }
 
 void MultiTenantEngine::CreateCatalog() {
@@ -195,7 +181,6 @@ void MultiTenantEngine::RouteWrite(size_t s, TraceEvent* e, uint64_t pick) {
 void MultiTenantEngine::RunShardEpoch(size_t s) {
   ShardLane& lane = lanes_[s];
   Simulation& sim = *sims_[s];
-  uint64_t applied = 0;
   for (uint32_t i : lane.spans) {
     const ClientMux::TurnSpan& span = spans_[i];
     const TraceEvent* events = mux_.buffered_events(span.client);
@@ -211,9 +196,7 @@ void MultiTenantEngine::RunShardEpoch(size_t s) {
       if (eligible) ++ordinal;
       sim.Apply(e);
     }
-    applied += span.end - span.begin;
   }
-  lane.events = applied;
   // Every span is applied: top up the clients that were scheduled (a
   // repeat Refill finds nothing to do).
   for (uint32_t i : lane.spans) {
@@ -238,54 +221,6 @@ void MultiTenantEngine::Reconcile() {
 }
 
 void MultiTenantEngine::EndEpoch() {
-  const size_t n = sims_.size();
-  // Per-shard epoch cost: events applied plus this epoch's simulated
-  // I/O — the unit of the modeled lane schedule.
-  std::vector<uint64_t> cost(n, 0);
-  uint64_t total = 0;
-  for (size_t s = 0; s < n; ++s) {
-    const uint64_t io = sims_[s]->clock().total_io();
-    cost[s] = lanes_[s].events + (io - prev_io_[s]);
-    prev_io_[s] = io;
-    total += cost[s];
-  }
-  // Contention: a shard drawing more than twice the fair share of the
-  // epoch queues behind the shared commit latch. The delay grows with
-  // the excess and carries seeded jitter; it is charged to the hot
-  // shard's lane cost (and the serial schedule), never to real state.
-  for (size_t s = 0; s < n; ++s) {
-    if (n > 1 && cost[s] * n > 2 * total) {
-      const uint64_t excess = cost[s] * n - 2 * total;
-      const uint64_t delay =
-          excess / (2 * n) + rng_.NextBelow(cost[s] / 16 + 1);
-      cost[s] += delay;
-      contention_delay_ += delay;
-      ++contention_events_;
-    }
-  }
-  // Modeled lane schedule: LPT-pack the shard costs onto L lanes for
-  // each fixed L and accumulate the makespan. Descending cost, shard id
-  // breaking ties; the least-loaded (lowest-index on ties) lane wins —
-  // fully deterministic and independent of the actual thread count.
-  std::vector<size_t> order(n);
-  for (size_t s = 0; s < n; ++s) order[s] = s;
-  std::sort(order.begin(), order.end(), [&cost](size_t a, size_t b) {
-    if (cost[a] != cost[b]) return cost[a] > cost[b];
-    return a < b;
-  });
-  for (size_t li = 0; li < MultiTenantReport::kLaneCounts; ++li) {
-    const uint32_t lanes = MultiTenantReport::kLanes[li];
-    std::vector<uint64_t> load(lanes, 0);
-    for (size_t s : order) {
-      size_t best = 0;
-      for (size_t l = 1; l < lanes; ++l) {
-        if (load[l] < load[best]) best = l;
-      }
-      load[best] += cost[s];
-    }
-    modeled_units_[li] +=
-        static_cast<double>(*std::max_element(load.begin(), load.end()));
-  }
   Reconcile();
   if (options_.coordinator_period > 0 &&
       epochs_ % options_.coordinator_period == 0) {
@@ -477,7 +412,7 @@ MultiTenantReport MultiTenantEngine::Run() {
     // thread count computes the same result.
     pool_->ParallelFor(n, [this](size_t s) { RunShardEpoch(s); });
     // 4. Serial barrier: merge the pin outboxes in shard order, then
-    // contention, modeled lanes, reconciliation, coordinator.
+    // reconciliation and the coordinator.
     for (ShardLane& lane : lanes_) {
       for (const auto& [target, delta] : lane.outbox) {
         exchange_[target].push_back(delta);
@@ -510,11 +445,6 @@ MultiTenantReport MultiTenantEngine::BuildReport() {
   r.breaker_opens = breaker_opens_;
   r.breaker_closes = breaker_closes_;
   r.coordinator_decisions = ledger_.Records();
-  r.contention_events = contention_events_;
-  r.contention_delay_units = contention_delay_;
-  for (size_t li = 0; li < MultiTenantReport::kLaneCounts; ++li) {
-    r.modeled_units[li] = modeled_units_[li];
-  }
   obs::Histogram merged;
   bool any_tel = false;
   r.shards.reserve(sims_.size());

@@ -48,8 +48,8 @@ struct MultiTenantOptions {
   // either way and catalog objects are immortal, so the clients'
   // kGarbageMark ground truth is untouched.
   double share_prob = 0.02;
-  // Engine RNG seed (share draws, contention jitter) — independent of
-  // every per-client and per-shard stream.
+  // Engine RNG seed (share draws) — independent of every per-client and
+  // per-shard stream.
   uint64_t seed = 1;
   // Budget coordinator cadence in epochs; 0 disables it.
   uint32_t coordinator_period = 8;
@@ -114,22 +114,6 @@ struct MultiTenantReport {
   uint64_t breaker_opens = 0;
   uint64_t breaker_closes = 0;
 
-  // Contention model: seeded latch-queueing delay charged to shards
-  // drawing more than twice the fair share of an epoch's cost.
-  uint64_t contention_events = 0;
-  uint64_t contention_delay_units = 0;
-
-  // Deterministic modeled scale-out (see EXPERIMENTS.md): per-epoch
-  // shard costs are LPT-packed onto L lanes for each fixed L below and
-  // the makespans accumulated. modeled_units[i] is the fleet's modeled
-  // apply time on kLanes[i] lanes — computed identically at any actual
-  // --threads, so the scaling story is host- and thread-independent.
-  static constexpr size_t kLaneCounts = 4;
-  static constexpr uint32_t kLanes[kLaneCounts] = {1, 2, 4, 8};
-  double modeled_units[kLaneCounts] = {0.0, 0.0, 0.0, 0.0};
-  // Serial-units / L-lane-units; 0 when the run was empty.
-  double ModeledSpeedup(size_t lane_index) const;
-
   // Fleet-wide app-visible GC stall distribution: every shard's
   // stall.gc_copy_io histogram merged (empty id when telemetry was off).
   obs::HistogramSnapshot stall_gc_copy;
@@ -158,9 +142,8 @@ struct MultiTenantReport {
 // parallel, each shard walks its clients' turn spans in merged order —
 // remap, intercept pointer writes against its own remembered set,
 // apply — and refills its clients' turn buffers for the next epoch.
-// Finally the serial barrier merges the shards' pin outboxes, charges
-// contention, accumulates the modeled lane schedule, reconciles dead
-// remote sources and runs the budget coordinator. The serial section
+// Finally the serial barrier merges the shards' pin outboxes, reconciles
+// dead remote sources and runs the budget coordinator. The serial section
 // is O(turns), not O(events); all randomness and all cross-shard
 // decisions stay in it, so the report is a pure function of (options,
 // clients) at any thread count.
@@ -204,7 +187,6 @@ class MultiTenantEngine {
     // exchange_ at the barrier. Pin order is immaterial — every target
     // holds the permanent directory pin, so no count reaches zero.
     std::vector<std::pair<uint32_t, PinDelta>> outbox;
-    uint64_t events = 0;  // applied this epoch
     uint64_t xshard_writes = 0;
     uint64_t pins_granted = 0;
     uint64_t pins_revoked = 0;
@@ -225,7 +207,7 @@ class MultiTenantEngine {
   void RouteWrite(size_t s, TraceEvent* e, uint64_t pick);
   // Drops remembered-set entries whose source object died this epoch.
   void Reconcile();
-  // Contention + modeled lanes + reconciliation + coordinator.
+  // Reconciliation + coordinator.
   void EndEpoch();
   void CoordinatorTick();
   // Circuit-breaker state machine for shard `s`; returns the budget the
@@ -258,7 +240,6 @@ class MultiTenantEngine {
   std::vector<uint64_t> share_pick_;  // per eligible ordinal; kNoShare
   std::vector<ShardLane> lanes_;
   std::vector<std::vector<PinDelta>> exchange_;
-  std::vector<uint64_t> prev_io_;
   uint64_t epochs_ = 0;
 
   // Coordinator state.
@@ -277,9 +258,6 @@ class MultiTenantEngine {
   uint64_t budget_revokes_ = 0;
   uint64_t breaker_opens_ = 0;
   uint64_t breaker_closes_ = 0;
-  uint64_t contention_events_ = 0;
-  uint64_t contention_delay_ = 0;
-  double modeled_units_[MultiTenantReport::kLaneCounts] = {0, 0, 0, 0};
 
   bool finished_ = false;
 };

@@ -277,5 +277,20 @@ TEST(CollectorTest, CollectionsPerformedCounterAdvances) {
   EXPECT_EQ(gc.collections_performed(), 2u);
 }
 
+TEST(CollectorTest, QuarantinedPartitionIsSkippedUntouched) {
+  ObjectStore store(SmallStore());
+  store.CreateObject(1, 100, 0);  // garbage: would be reclaimed
+  ASSERT_TRUE(store.QuarantinePartition(0));
+  const IoStats before = store.io_stats();
+  Collector gc;
+  CollectionReport report = gc.Collect(store, 0);
+  EXPECT_TRUE(report.skipped_quarantine);
+  EXPECT_EQ(report.bytes_reclaimed, 0u);
+  EXPECT_TRUE(store.Exists(1));
+  EXPECT_EQ(store.io_stats().gc_reads, before.gc_reads);
+  EXPECT_EQ(store.io_stats().gc_writes, before.gc_writes);
+  EXPECT_EQ(gc.collections_performed(), 0u);
+}
+
 }  // namespace
 }  // namespace odbgc

@@ -15,7 +15,9 @@ gates all committed baselines. Two checks per benchmark section:
     checksum_after — the sections digest observable simulation state, so
     any drift is a behavior change, not noise. A mismatch always fails.
   * performance: ops_per_sec must not fall more than --max-regression
-    (default 20%) below the baseline's after.ops_per_sec. List a run
+    (default 20%) below the baseline's after.ops_per_sec, a measured
+    wall-clock figure (BENCH_multi_tenant.json's is the --threads=2
+    run, the setting CI benchmarks at). List a run
     file several times (comma-separated in --pair, or repeated --run)
     to take the per-section best. Timing on shared CI runners is noisy,
     hence the generous threshold; the CI job is non-blocking and exists

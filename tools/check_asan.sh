@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Builds the storage / collector stack under AddressSanitizer and runs
+# Builds the storage / collector stack under AddressSanitizer plus
+# UndefinedBehaviorSanitizer (any UB report aborts the test) and runs
 # the tests that exercise the fault injector, crash recovery, and the
 # heap verifier (plus the corrupt-trace loader corpora, which is where a
 # reader bug would touch memory it should not), the checkpoint format's
@@ -21,7 +22,7 @@ cmake --build "$BUILD_DIR" --target \
 for t in fault_injection_test self_healing_test recovery_test \
          buffer_pool_test fuzz_test storage_test collector_test \
          checkpoint_test reverse_index_test; do
-  echo "== ${t} under address sanitizer =="
+  echo "== ${t} under address + undefined-behavior sanitizers =="
   "$BUILD_DIR/tests/$t"
 done
-echo "OK: no address sanitizer reports"
+echo "OK: no address or undefined-behavior sanitizer reports"

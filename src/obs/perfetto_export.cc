@@ -36,7 +36,7 @@ void WriteEvent(JsonWriter& w, const TraceEventRec& e, int tid) {
   w.Key("name");
   w.Value(e.name);
   w.Key("ph");
-  w.Value(std::string(1, e.ph));
+  w.Value(std::string_view(&e.ph, 1));
   w.Key("ts");
   w.Value(e.ts);
   w.Key("pid");

@@ -247,7 +247,11 @@ void Simulation::RepairQuarantined() {
 
 void Simulation::SelfHealTick() {
   if (store_->partition_count() == 0) return;
-  DrainCorruption();
+  // Checked here so the event loop skips the call when nothing is queued
+  // (the usual case: every event passes through this tick).
+  if (store_->buffer_pool().pending_corruption_count() != 0) {
+    DrainCorruption();
+  }
   const uint32_t interval = config_.scrub_interval_events;
   const bool scrub_due =
       interval > 0 && clock_.events % interval == 0;

@@ -16,10 +16,11 @@ namespace odbgc {
 // admits SIMD-style scans — popcount for survivor accounting, ctz-driven
 // iteration that skips clear runs a word (64 ids) at a time.
 //
-// Users: the collector's per-partition marking (gc/collector.h), and
-// whole-database reachability scans
-// (storage/reachability.h), whose result bitmap exposes the same
-// operator[] the old vector<bool> did.
+// Users: the collector's per-partition marking (gc/collector.h),
+// whole-database reachability scans (storage/reachability.h), whose
+// result bitmap exposes the same operator[] the old vector<bool> did,
+// and the object store's may-be-unsorted in-ref list marks
+// (storage/object_store.h).
 class MarkBitmap {
  public:
   MarkBitmap() = default;
@@ -29,6 +30,10 @@ class MarkBitmap {
   // costs one memset of bits/8 bytes and no allocator traffic once the
   // high-water mark is reached.
   void Reset(size_t bits);
+
+  // Extends the bitmap to cover [0, bits), keeping the bits already set;
+  // the new bits are clear. Never shrinks.
+  void Grow(size_t bits);
 
   // Number of bit indices covered (operator[] below this is valid).
   size_t size() const { return bits_; }

@@ -28,6 +28,7 @@ ObjectStore::ObjectStore(const StoreConfig& config) : config_(config) {
   }
   objects_.resize(1);  // id 0 = null
   in_refs_.resize(1);
+  maybe_unsorted_.Reset(1);
 }
 
 Partition& ObjectStore::PartitionFor(uint32_t size, ObjectId near_hint) {
@@ -90,8 +91,7 @@ void ObjectStore::ReleasePartition(PartitionId p) {
   free_index_.Update(p, partitions_[p].free_bytes());
 }
 
-uint64_t ObjectStore::quarantined_used_bytes() const {
-  if (quarantined_count_ == 0) return 0;
+uint64_t ObjectStore::SumQuarantinedUsedBytes() const {
   uint64_t total = 0;
   for (const Partition& part : partitions_) {
     if (IsQuarantined(part.id())) total += part.used();
@@ -128,21 +128,25 @@ void ObjectStore::RebuildDerivedState() {
     free_index_.Update(part.id(),
                        IsQuarantined(part.id()) ? 0 : part.free_bytes());
   }
+  maybe_unsorted_.Reset(in_refs_.size());
 }
 
 void ObjectStore::CanonicalizeInRefs() {
-  const auto canonical = [](const InRef& a, const InRef& b) {
-    return a.src != b.src ? a.src < b.src : a.backref_pos < b.backref_pos;
-  };
-  for (std::vector<InRef>& tin : in_refs_) {
-    if (tin.size() < 2 || std::is_sorted(tin.begin(), tin.end(), canonical)) {
-      continue;
+  // Lists are independent (each slot's back-reference lives in exactly
+  // one list), so visiting only the marked ones gives the full pass's
+  // result.
+  maybe_unsorted_.ForEachSet([this](size_t id) {
+    std::vector<InRef>& tin = in_refs_[id];
+    if (tin.size() < 2 ||
+        std::is_sorted(tin.begin(), tin.end(), CanonicalInRefLess)) {
+      return;
     }
-    std::sort(tin.begin(), tin.end(), canonical);
+    std::sort(tin.begin(), tin.end(), CanonicalInRefLess);
     for (uint32_t i = 0; i < tin.size(); ++i) {
       slot_arena_[tin[i].backref_pos].backref = i;
     }
-  }
+  });
+  maybe_unsorted_.Reset(in_refs_.size());
 }
 
 void ObjectStore::CreateObject(ObjectId id, uint32_t size,
@@ -152,6 +156,7 @@ void ObjectStore::CreateObject(ObjectId id, uint32_t size,
   if (id >= objects_.size()) {
     objects_.resize(id + 1);
     in_refs_.resize(id + 1);
+    maybe_unsorted_.Grow(id + 1);
   }
   Partition& part = PartitionFor(size, near_hint);
   ObjectRecord& rec = objects_[id];
@@ -188,16 +193,6 @@ void ObjectStore::UpdateObject(ObjectId id) {
              IoContext::kApplication);
 }
 
-void ObjectStore::AttachInRef(ObjectId src, uint32_t slot, ObjectId target) {
-  ObjectRecord& s = objects_[src];
-  ObjectRecord& t = objects_[target];
-  std::vector<InRef>& tin = in_refs_[target];
-  const uint32_t pos = s.slot_begin + slot;
-  slot_arena_[pos].backref = static_cast<uint32_t>(tin.size());
-  tin.push_back(InRef{src, pos});
-  if (s.partition != t.partition) ++t.xpart_in_refs;
-}
-
 void ObjectStore::DetachInRef(ObjectId src, uint32_t slot, ObjectId target) {
   ObjectRecord& s = objects_[src];
   ObjectRecord& t = objects_[target];
@@ -221,6 +216,7 @@ void ObjectStore::DetachInRef(ObjectId src, uint32_t slot, ObjectId target) {
     const InRef moved = tin[last];
     tin[idx] = moved;
     slot_arena_[moved.backref_pos].backref = idx;
+    maybe_unsorted_.Set(target);
   }
   tin.pop_back();
 }
@@ -432,6 +428,10 @@ void ObjectStore::RestoreState(SnapshotReader& r) {
   objects_.resize(static_cast<size_t>(obj_count));
   in_refs_.clear();
   in_refs_.resize(static_cast<size_t>(obj_count));
+  // The snapshot does not record which lists are canonical: mark them
+  // all, so the first CanonicalizeInRefs after a restore checks each one.
+  maybe_unsorted_.Reset(in_refs_.size());
+  for (size_t i = 0; i < in_refs_.size(); ++i) maybe_unsorted_.Set(i);
   slot_arena_.clear();
   for (uint64_t i = 0; i < obj_count && r.ok(); ++i) {
     ObjectRecord& rec = objects_[i];

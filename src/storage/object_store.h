@@ -11,6 +11,7 @@
 #include "storage/disk_model.h"
 #include "storage/fault_injector.h"
 #include "storage/free_space_index.h"
+#include "storage/mark_bitmap.h"
 #include "storage/partition.h"
 #include "storage/types.h"
 #include "util/check.h"
@@ -32,6 +33,13 @@ struct InRef {
 
   friend bool operator==(const InRef&, const InRef&) = default;
 };
+
+// The canonical in-ref order RebuildDerivedState produces: by source id,
+// then source slot (a source's slots are contiguous in the arena, so
+// arena position orders them).
+inline bool CanonicalInRefLess(const InRef& a, const InRef& b) {
+  return a.src != b.src ? a.src < b.src : a.backref_pos < b.backref_pos;
+}
 
 // One pointer slot: the referenced object plus the slot's entry index in
 // that object's in-ref list (meaningless while `target` is null). Target
@@ -180,9 +188,9 @@ class ObjectStore {
     TouchRange(s.partition, s.offset, s.size, /*dirty=*/true,
                IoContext::kApplication);
 
-    // Fused detach + attach (the bodies of DetachInRef / AttachInRef with
-    // the source-side work shared): one load of the source header, one
-    // slot position. The standalone helpers remain for the other callers.
+    // Fused detach + attach (the detach is DetachInRef's body with the
+    // source-side work shared): one load of the source header, one slot
+    // position. DestroyObject uses the standalone DetachInRef.
     PartitionId overwritten_partition = kInvalidPartition;
     if (old_target != kNullObject) {
       // Unchecked: a non-null slot target always exists (DestroyObject
@@ -202,6 +210,7 @@ class ObjectStore {
         const InRef moved = otin[last];
         otin[idx] = moved;
         slot_arena_[moved.backref_pos].backref = idx;
+        maybe_unsorted_.Set(old_target);
       }
       otin.pop_back();
       // The old target became less connected: charge the overwrite to the
@@ -214,7 +223,11 @@ class ObjectStore {
       ObjectRecord& nt = mutable_object(new_target);
       std::vector<InRef>& ntin = in_refs_[new_target];
       slot_arena_[pos].backref = static_cast<uint32_t>(ntin.size());
-      ntin.push_back(InRef{src, pos});
+      const InRef entry{src, pos};
+      if (!ntin.empty() && CanonicalInRefLess(entry, ntin.back())) {
+        maybe_unsorted_.Set(new_target);
+      }
+      ntin.push_back(entry);
       if (s.partition != nt.partition) ++nt.xpart_in_refs;
     }
     return overwritten_partition;
@@ -282,8 +295,11 @@ class ObjectStore {
     object(id);  // existence check
     return in_refs_[id];
   }
+  // Test hook: the list may be edited into any order, so it is marked
+  // for the next CanonicalizeInRefs.
   std::vector<InRef>& mutable_in_refs(ObjectId id) {
     object(id);  // existence check
+    maybe_unsorted_.Set(id);
     return in_refs_[id];
   }
 
@@ -385,8 +401,12 @@ class ObjectStore {
   }
   size_t quarantined_count() const { return quarantined_count_; }
   // Bytes currently resident in quarantined partitions (zero when none
-  // is quarantined, so zero-fault accounting is untouched).
-  uint64_t quarantined_used_bytes() const;
+  // is quarantined, so zero-fault accounting is untouched). Inline: the
+  // simulation reads it after every event, nearly always with nothing
+  // quarantined.
+  uint64_t quarantined_used_bytes() const {
+    return quarantined_count_ == 0 ? 0 : SumQuarantinedUsedBytes();
+  }
 
   // Rebuilds every piece of derived state from the primary data (slot
   // arena targets + partition object lists + headers + roots): the
@@ -402,8 +422,10 @@ class ObjectStore {
   // back-references. On a consistent store the result equals a rebuild:
   // the entries, counters and free-space index are already right, and
   // swap-erase history only permutes the lists (an order the collector's
-  // remembered-set walk follows). Only out-of-order lists are sorted, in
-  // place; nothing is allocated.
+  // remembered-set walk follows). Only the lists marked since the last
+  // canonical point are visited (see maybe_unsorted_), and of those only
+  // the out-of-order ones are sorted, in place; nothing is allocated.
+  // Cost: O(ids / 64) for the bitmap scan plus the marked lists' sizes.
   void CanonicalizeInRefs();
 
   // --- Collector support ---
@@ -478,11 +500,12 @@ class ObjectStore {
 
  private:
   Partition& PartitionFor(uint32_t size, ObjectId near_hint);
+  uint64_t SumQuarantinedUsedBytes() const;
 
-  // O(1) reverse-index maintenance: links/unlinks the (src, slot) ->
-  // target edge, keeping back-pointers and the cross-partition counters
-  // in sync. DetachInRef patches the swap-erased entry's back-pointer.
-  void AttachInRef(ObjectId src, uint32_t slot, ObjectId target);
+  // O(1) reverse-index maintenance: unlinks the (src, slot) -> target
+  // edge, keeping back-pointers and the cross-partition counters in sync,
+  // and patches the swap-erased entry's back-pointer. (WriteRef links
+  // edges inline.)
   void DetachInRef(ObjectId src, uint32_t slot, ObjectId target);
 
   StoreConfig config_;
@@ -492,6 +515,14 @@ class ObjectStore {
   std::vector<Slot> slot_arena_;
   // Reverse-index lists, indexed by ObjectId like objects_.
   std::vector<std::vector<InRef>> in_refs_;
+  // One bit per id: "this in-ref list may be out of canonical order".
+  // Set by every edit that can break the order (a swap-erase that moves
+  // an entry, an append that sorts before the tail, mutable_in_refs, a
+  // restore); cleared by CanonicalizeInRefs and RebuildDerivedState. A
+  // clear bit guarantees a canonical list, so repair visits only the
+  // lists disturbed since the last canonical point. Not checkpointed:
+  // RestoreState marks every id.
+  MarkBitmap maybe_unsorted_;
   std::vector<ObjectId> roots_;
   // Sorted (id, refcount); see AddExternalPin.
   std::vector<std::pair<ObjectId, uint32_t>> external_pins_;

@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -10,9 +11,14 @@
 
 namespace odbgc {
 
-std::string JsonWriter::Escape(const std::string& s) {
+std::string JsonWriter::Escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 8);
+  EscapeTo(out, s);
+  return out;
+}
+
+void JsonWriter::EscapeTo(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '"':
@@ -40,7 +46,6 @@ std::string JsonWriter::Escape(const std::string& s) {
         }
     }
   }
-  return out;
 }
 
 void JsonWriter::BeforeValue() {
@@ -84,25 +89,23 @@ void JsonWriter::EndArray() {
   first_in_frame_.pop_back();
 }
 
-void JsonWriter::Key(const std::string& name) {
+void JsonWriter::Key(std::string_view name) {
   ODBGC_CHECK(!stack_.empty() && stack_.back() == Frame::kObject);
   ODBGC_CHECK_MSG(!key_pending_, "two keys in a row");
   if (!first_in_frame_.back()) out_ += ',';
   first_in_frame_.back() = false;
   out_ += '"';
-  out_ += Escape(name);
+  EscapeTo(out_, name);
   out_ += "\":";
   key_pending_ = true;
 }
 
-void JsonWriter::Value(const std::string& s) {
+void JsonWriter::Value(std::string_view s) {
   BeforeValue();
   out_ += '"';
-  out_ += Escape(s);
+  EscapeTo(out_, s);
   out_ += '"';
 }
-
-void JsonWriter::Value(const char* s) { Value(std::string(s)); }
 
 void JsonWriter::RawValue(const std::string& json) {
   BeforeValue();
@@ -115,19 +118,27 @@ void JsonWriter::Value(double d) {
     out_ += "null";
     return;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", d);
-  out_ += buf;
+  // to_chars with a precision is specified as printf's %.*g in the C
+  // locale, without snprintf's format parsing.
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof(buf), d, std::chars_format::general, 10);
+  ODBGC_CHECK(r.ec == std::errc());
+  out_.append(buf, r.ptr);
 }
 
 void JsonWriter::Value(uint64_t v) {
   BeforeValue();
-  out_ += std::to_string(v);
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out_.append(buf, r.ptr);
 }
 
 void JsonWriter::Value(int64_t v) {
   BeforeValue();
-  out_ += std::to_string(v);
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out_.append(buf, r.ptr);
 }
 
 void JsonWriter::Value(bool b) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -29,10 +30,13 @@ class JsonWriter {
   void EndObject();
   void BeginArray();
   void EndArray();
-  void Key(const std::string& name);
+  // Keys and strings are escaped straight into the document; numbers are
+  // formatted with std::to_chars. Nothing here builds a temporary string.
+  void Key(std::string_view name);
 
-  void Value(const std::string& s);
-  void Value(const char* s);
+  void Value(std::string_view s);
+  void Value(const char* s) { Value(std::string_view(s)); }
+  // Same characters as printf's "%.10g"; non-finite values become null.
   void Value(double d);
   void Value(uint64_t v);
   void Value(int64_t v);
@@ -46,12 +50,14 @@ class JsonWriter {
   // Finalizes and returns the document; the writer must be balanced.
   std::string TakeString();
 
-  static std::string Escape(const std::string& s);
+  static std::string Escape(std::string_view s);
 
  private:
   enum class Frame { kObject, kArray };
 
   void BeforeValue();
+  // Appends `s`, escaped, to `out`.
+  static void EscapeTo(std::string& out, std::string_view s);
 
   std::string out_;
   std::vector<Frame> stack_;

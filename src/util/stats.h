@@ -1,6 +1,7 @@
 #ifndef ODBGC_UTIL_STATS_H_
 #define ODBGC_UTIL_STATS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -13,7 +14,15 @@ class RunningStats {
  public:
   RunningStats() = default;
 
-  void Add(double x);
+  // Inline: the simulation adds a sample or more per event.
+  void Add(double x) {
+    ++count_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (x - mean_);
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
   void Merge(const RunningStats& other);
 
   size_t count() const { return count_; }

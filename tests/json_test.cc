@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "oo7/generator.h"
 #include "sim/report.h"
 #include "sim/simulation.h"
 #include "util/json.h"
+#include "util/random.h"
 
 namespace odbgc {
 namespace {
@@ -59,6 +67,98 @@ TEST(JsonWriterTest, EscapesSpecialCharacters) {
   EXPECT_EQ(JsonWriter::Escape("a\"b\\c\nd\te"),
             "a\\\"b\\\\c\\nd\\te");
   EXPECT_EQ(JsonWriter::Escape(std::string(1, '\x01')), "\\u0001");
+}
+
+std::string WriteDouble(double d) {
+  JsonWriter w;
+  w.Value(d);
+  return w.TakeString();
+}
+
+std::string PrintfG10(double d) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.10g", d);
+  return buf;
+}
+
+// Value(double) must print exactly what "%.10g" prints: every export's
+// bytes (reports, ledgers, time series, traces) depend on it.
+TEST(JsonWriterTest, DoublesMatchPrintfG10) {
+  std::vector<double> cases = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.5, 1e-5, 123456789.0, 1234567890.0,
+      12345678901.0, 9999999999.0, 99999999995.0, 0.00012345678915,
+      std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),
+      std::numeric_limits<double>::epsilon()};
+  // Around every power of ten in range, where the %g notation switches
+  // and rounding carries into a new digit.
+  for (int e = -310; e <= 308; ++e) {
+    const double p = std::pow(10.0, e);
+    if (p == 0.0 || !std::isfinite(p)) continue;
+    for (double v : {p, std::nextafter(p, 0.0), std::nextafter(p, HUGE_VAL),
+                     p * (1 - 5e-11), p * (1 + 5e-11), p * 9.9999999995}) {
+      cases.push_back(v);
+      cases.push_back(-v);
+    }
+  }
+  // Random bit patterns: every exponent, subnormals included.
+  Rng rng(0x6a50);
+  for (int i = 0; i < 100000; ++i) {
+    cases.push_back(std::bit_cast<double>(rng.Next()));
+  }
+  size_t compared = 0;
+  for (const double d : cases) {
+    if (!std::isfinite(d)) {
+      EXPECT_EQ(WriteDouble(d), "null");
+      continue;
+    }
+    ASSERT_EQ(WriteDouble(d), PrintfG10(d))
+        << "bits 0x" << std::hex << std::bit_cast<uint64_t>(d);
+    ++compared;
+  }
+  EXPECT_GT(compared, 100000u);
+}
+
+TEST(JsonWriterTest, IntegersMatchToString) {
+  for (const uint64_t v :
+       {uint64_t{0}, uint64_t{1}, uint64_t{9}, uint64_t{10},
+        uint64_t{4294967295u}, uint64_t{4294967296u},
+        std::numeric_limits<uint64_t>::max() - 1,
+        std::numeric_limits<uint64_t>::max()}) {
+    JsonWriter w;
+    w.Value(v);
+    EXPECT_EQ(w.TakeString(), std::to_string(v));
+  }
+  for (const int64_t v :
+       {int64_t{0}, int64_t{-1}, int64_t{1}, int64_t{-10},
+        std::numeric_limits<int64_t>::min(),
+        std::numeric_limits<int64_t>::min() + 1,
+        std::numeric_limits<int64_t>::max()}) {
+    JsonWriter w;
+    w.Value(v);
+    EXPECT_EQ(w.TakeString(), std::to_string(v));
+  }
+}
+
+// Key and Value escape in place; the bytes must match Escape().
+TEST(JsonWriterTest, KeysAndStringsEscapeLikeEscape) {
+  std::string every_byte;
+  for (int c = 1; c < 256; ++c) every_byte += static_cast<char>(c);
+  for (const std::string& s :
+       {std::string(""), std::string("plain"), std::string("q\"uo\"te"),
+        std::string("back\\slash\\"), std::string("\n\r\t\b\f\x1f\x7f"),
+        std::string("nul\0inside", 10), every_byte}) {
+    JsonWriter w;
+    w.BeginObject();
+    w.Key(s);
+    w.Value(s);
+    w.EndObject();
+    const std::string e = JsonWriter::Escape(s);
+    EXPECT_EQ(w.TakeString(), "{\"" + e + "\":\"" + e + "\"}");
+  }
 }
 
 TEST(JsonWriterTest, NonFiniteDoublesBecomeNull) {

@@ -4,9 +4,11 @@
 // allocation free-space index with the heap verifier at every
 // collection. A desynced index must also die loudly on the hot path,
 // which the death tests pin down. The repair path's in-place list sort
-// (CanonicalizeInRefs) must leave exactly the state a full rebuild does.
+// (CanonicalizeInRefs) must leave exactly the state a full rebuild does,
+// visiting only the lists its may-be-unsorted marks name.
 
 #include <algorithm>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -285,6 +287,167 @@ TEST(CanonicalizeInRefsTest, MatchesAFullRebuildAfterASnapshotRoundTrip) {
     sorted.CanonicalizeInRefs();
     rebuilt.RebuildDerivedState();
     ExpectSameDerivedState(sorted, rebuilt);
+  }
+}
+
+// One generated case, replayed in lockstep on two stores: `sorted` is
+// canonicalized in place, `rebuilt` gets a full RebuildDerivedState at
+// the same points. Between those points both see the same operations,
+// so they must agree on every piece of derived state; any list the
+// may-be-unsorted marks miss stays out of order in `sorted` only.
+class UnsortedMarksCase {
+ public:
+  explicit UnsortedMarksCase(uint64_t seed)
+      : sorted_(std::make_unique<ObjectStore>(SmallConfig())),
+        rebuilt_(std::make_unique<ObjectStore>(SmallConfig())),
+        rng_(seed) {
+    for (int i = 0; i < 6; ++i) {
+      Create(next_id_++, 96, 4);
+      sorted_->AddRoot(live_.back());
+      rebuilt_->AddRoot(live_.back());
+    }
+  }
+
+  // Creates, rewrites and nulls slots; sometimes re-creates an id the
+  // collector destroyed, so a reused id's list starts over.
+  void Churn(int ops) {
+    for (int op = 0; op < ops; ++op) {
+      if (rng_.NextBool(0.25)) {
+        ObjectId id = next_id_;
+        if (!dead_.empty() && rng_.NextBool(0.5)) {
+          id = dead_.back();
+          dead_.pop_back();
+        } else {
+          ++next_id_;
+        }
+        Create(id, 32 + static_cast<uint32_t>(rng_.NextBelow(200)),
+               static_cast<uint32_t>(rng_.NextBelow(5)));
+      }
+      const ObjectId src = Pick();
+      const uint32_t nslots = sorted_->object(src).slot_count;
+      if (nslots == 0) continue;
+      const uint32_t slot = static_cast<uint32_t>(rng_.NextBelow(nslots));
+      const ObjectId target = rng_.NextBool(0.15) ? kNullObject : Pick();
+      sorted_->WriteRef(src, slot, target);
+      rebuilt_->WriteRef(src, slot, target);
+    }
+  }
+
+  void Collect() {
+    const PartitionId p = static_cast<PartitionId>(
+        rng_.NextBelow(sorted_->partition_count()));
+    collector_sorted_.Collect(*sorted_, p);
+    collector_rebuilt_.Collect(*rebuilt_, p);
+    std::erase_if(live_, [&](ObjectId id) {
+      if (sorted_->Exists(id)) return false;
+      dead_.push_back(id);
+      return true;
+    });
+  }
+
+  // Reverses a random non-trivial in-ref list through the test hook,
+  // patching the slot back-references so the index stays consistent.
+  void ReverseSomeList() {
+    for (int tries = 0; tries < 50; ++tries) {
+      const ObjectId id = Pick();
+      if (sorted_->in_refs(id).size() < 2) continue;
+      for (ObjectStore* store : {sorted_.get(), rebuilt_.get()}) {
+        std::vector<InRef>& in = store->mutable_in_refs(id);
+        std::reverse(in.begin(), in.end());
+        for (uint32_t i = 0; i < in.size(); ++i) {
+          const uint32_t slot =
+              in[i].backref_pos - store->object(in[i].src).slot_begin;
+          store->mutable_slots(in[i].src)[slot].backref = i;
+        }
+      }
+      return;
+    }
+  }
+
+  // Replaces both stores with their own snapshot round trips.
+  void SaveAndRestore() {
+    for (std::unique_ptr<ObjectStore>* store : {&sorted_, &rebuilt_}) {
+      SnapshotWriter w;
+      (*store)->SaveState(w);
+      auto restored = std::make_unique<ObjectStore>(SmallConfig());
+      SnapshotReader r(w.data());
+      restored->RestoreState(r);
+      ASSERT_TRUE(r.AtEnd()) << r.error();
+      *store = std::move(restored);
+    }
+  }
+
+  // Returns how many lists were out of order before the pass.
+  size_t CanonicalizeAndCompare() {
+    size_t out_of_order = 0;
+    for (ObjectId id = 1; id <= sorted_->max_object_id(); ++id) {
+      if (sorted_->Exists(id) && !InCanonicalOrder(sorted_->in_refs(id))) {
+        ++out_of_order;
+      }
+    }
+    sorted_->CanonicalizeInRefs();
+    rebuilt_->RebuildDerivedState();
+    for (ObjectId id = 1; id <= sorted_->max_object_id(); ++id) {
+      if (sorted_->Exists(id)) {
+        EXPECT_TRUE(InCanonicalOrder(sorted_->in_refs(id))) << "object " << id;
+      }
+    }
+    ExpectSameDerivedState(*sorted_, *rebuilt_);
+    VerifierReport vr = VerifyHeap(*sorted_, BareOptions());
+    EXPECT_TRUE(vr.ok()) << vr.Summary();
+    return out_of_order;
+  }
+
+ private:
+  ObjectId Pick() { return live_[rng_.NextBelow(live_.size())]; }
+
+  void Create(ObjectId id, uint32_t size, uint32_t slots) {
+    const ObjectId hint =
+        live_.empty() || rng_.NextBool(0.5) ? kNullObject : Pick();
+    sorted_->CreateObject(id, size, slots, hint);
+    rebuilt_->CreateObject(id, size, slots, hint);
+    live_.push_back(id);
+  }
+
+  std::unique_ptr<ObjectStore> sorted_;
+  std::unique_ptr<ObjectStore> rebuilt_;
+  Collector collector_sorted_;
+  Collector collector_rebuilt_;
+  Rng rng_;
+  std::vector<ObjectId> live_;
+  std::vector<ObjectId> dead_;
+  ObjectId next_id_ = 1;
+};
+
+TEST(CanonicalizeInRefsTest, UnsortedMarksCoverEveryReorderingEdit) {
+  for (const uint64_t seed : {5u, 6u, 0xbadc0deu}) {
+    SCOPED_TRACE(seed);
+    UnsortedMarksCase c(seed);
+    size_t disturbed = 0;
+    for (int round = 0; round < 8; ++round) {
+      SCOPED_TRACE(round);
+      c.Churn(300);
+      c.Collect();
+      c.Churn(150);
+      // Several passes per case, each clearing the marks the churn since
+      // the previous one set. Right after a pass every list is canonical,
+      // so only the test hook's own mark can name the reversed list.
+      if (round % 2 == 1) {
+        disturbed += c.CanonicalizeAndCompare();
+        c.ReverseSomeList();
+      }
+      if (round == 4) {
+        c.SaveAndRestore();
+        if (HasFatalFailure()) return;
+      }
+      c.Collect();
+    }
+    disturbed += c.CanonicalizeAndCompare();
+    c.ReverseSomeList();
+    EXPECT_EQ(c.CanonicalizeAndCompare(), 1u);
+    // Idempotent: nothing is left to sort.
+    EXPECT_EQ(c.CanonicalizeAndCompare(), 0u);
+    EXPECT_GT(disturbed, 0u);
   }
 }
 

@@ -4,7 +4,8 @@
 # the tests that exercise the fault injector, crash recovery, and the
 # heap verifier (plus the corrupt-trace loader corpora, which is where a
 # reader bug would touch memory it should not), the checkpoint format's
-# bulk snapshot encode/decode, and the in-place reverse-list sort.
+# bulk snapshot encode/decode, the in-place reverse-list sort, and the
+# JSON writer's fixed-buffer number formatting.
 # Usage: tools/check_asan.sh [build-dir]
 set -euo pipefail
 
@@ -17,11 +18,11 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" --target \
   fault_injection_test self_healing_test recovery_test buffer_pool_test \
   fuzz_test storage_test collector_test checkpoint_test reverse_index_test \
-  -j "$(nproc)"
+  json_test -j "$(nproc)"
 
 for t in fault_injection_test self_healing_test recovery_test \
          buffer_pool_test fuzz_test storage_test collector_test \
-         checkpoint_test reverse_index_test; do
+         checkpoint_test reverse_index_test json_test; do
   echo "== ${t} under address + undefined-behavior sanitizers =="
   "$BUILD_DIR/tests/$t"
 done
